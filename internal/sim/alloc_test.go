@@ -66,6 +66,35 @@ func TestProcHandoffZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcHandoffRing64ZeroAlloc is the same guard with 64 procs in
+// lockstep, so every handoff resumes a different proc.
+func TestProcHandoffRing64ZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	e := NewEngine()
+	for id := 0; id < 64; id++ {
+		e.Spawn(id, 0, uint64(id+1), func(p *Proc) {
+			for {
+				p.Work(1)
+				p.Sync()
+			}
+		})
+	}
+	if err := e.Run(100); err != nil { // warm up
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Run(e.Now() + 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.KillAll()
+	if allocs != 0 {
+		t.Errorf("64-proc handoff ring allocates %.1f objects per 4 cycles, want 0", allocs)
+	}
+}
+
 // TestBlockWakeZeroAlloc exercises the third hot shape — a proc blocking
 // on an external event that wakes it (the coherence-miss path).
 func TestBlockWakeZeroAlloc(t *testing.T) {

@@ -149,3 +149,25 @@ func BenchmarkProcBlockWake(b *testing.B) {
 	b.StopTimer()
 	e.KillAll()
 }
+
+// BenchmarkProcHandoffRing64 measures proc switching in the shape of the
+// paper's 64-core contended cells: 64 procs advance in lockstep, so every
+// Sync parks and hands off to the next proc in the ring — each handoff
+// goes to a different proc, unlike the two-proc ping-pong above.
+func BenchmarkProcHandoffRing64(b *testing.B) {
+	e := NewEngine()
+	rounds := b.N/64 + 1
+	for id := 0; id < 64; id++ {
+		e.Spawn(id, 0, uint64(id+1), func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Work(1)
+				p.Sync()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Drain(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -9,20 +9,22 @@
 // produces bit-identical results (see shard.go for the windowed parallel
 // executor; with one shard the engine is the familiar sequential kernel).
 //
-// Simulated cores run as coroutines that are woken by events and yield
-// before every action that can observe or affect shared simulated state.
-// Within a shard exactly one actor — the driver or one proc — executes at
-// any instant. Scheduling uses direct switching: whichever goroutine
-// currently holds the shard's execution token drives the event loop, and
-// when the next event is another proc's wake the token moves
-// goroutine-to-goroutine in a single channel handoff (when it is the
-// driver's own wake, no handoff at all). The Run caller gets the token back
-// when the run is over.
+// Simulated cores run as coroutines (iter.Pull) that are woken by events
+// and yield before every action that can observe or affect shared
+// simulated state. Each shard has one driver loop (shard.drive), run by
+// the Run caller or, under sharding, by the shard's window worker; within
+// a shard exactly one actor — the driver or one proc — executes at any
+// instant. A parking proc runs the event loop itself: callbacks and its
+// own wake run inline with no switch at all, and only a stop condition or
+// another proc's wake makes it yield that proc to the driver, which
+// resumes it. A proc switch is therefore two coroutine switches through
+// the driver, never a trip through the goroutine scheduler.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 )
@@ -43,8 +45,8 @@ const SysDomain = ^uint32(0)
 const noDomain = SysDomain - 1
 
 // event is a scheduled callback (p == nil) or a proc wake (p != nil; fn is
-// unused). Wakes are distinguished so the driver can hand the execution
-// token directly to the target proc instead of calling into it.
+// unused). Wakes are distinguished so the event loop can resume the target
+// proc's coroutine instead of calling into it.
 type event struct {
 	at  Time
 	seq uint64 // per-source-domain sequence: FIFO among same-key ties
@@ -244,9 +246,6 @@ type Engine struct {
 	// authoritative).
 	idleNow Time
 
-	runErr error
-	fatal  *PanicError
-
 	// Sharding configuration (see ConfigureSharding); applied lazily at
 	// the first Run.
 	wantShards  int
@@ -380,10 +379,10 @@ func (s *StallError) Error() string {
 		s.Events, s.Time)
 }
 
-// shard is one partition of the simulation: a set of domains, their event
-// queues, and an execution token. With one shard the Run caller drives it
-// directly; with several, each shard has a worker goroutine and executes
-// lookahead-bounded windows between barriers (shard.go).
+// shard is one partition of the simulation: a set of domains and their
+// event queues. With one shard the Run caller drives it directly; with
+// several, each shard has a worker goroutine and executes lookahead-bounded
+// windows between barriers (shard.go).
 type shard struct {
 	eng *Engine
 	idx int
@@ -394,25 +393,27 @@ type shard struct {
 
 	// Canonical key of the event currently executing (curAt/curDom/
 	// curSrc/curSeq), maintained by next() as the single source of truth.
-	// Emissions made while a proc holds the token are attributed to the
-	// proc's wake event — the last event popped on this shard — which is
-	// the same attribution the sequential executor would make, since no
-	// other event runs while the proc holds the token.
+	// Emissions made while a proc runs are attributed to the proc's wake
+	// event — the last event popped on this shard — which is the same
+	// attribution the sequential executor would make, since no other
+	// event runs while the proc does.
 	curAt  Time
 	curDom uint32 // domain of the event currently executing
 	curSrc uint32
+
+	// inEvent is set while an event callback runs, so a panic caught by
+	// a proc's coroutine is attributed to the callback it ran inline
+	// rather than to the proc.
+	inEvent bool
 
 	// windowEnd is the exclusive execution horizon for the current window
 	// (MaxTime when sequential); stopAt caches the engine stop time.
 	windowEnd Time
 	stopAt    Time
 
-	// home returns the shard's execution token to its driver (the Run
-	// caller, or the shard worker) once a stop condition is hit.
-	home chan struct{}
-
 	// verdict holds a stall error detected by this shard's watchdog;
-	// fatal holds a wrapped panic from one of its procs or events.
+	// fatal holds a panic caught by a window worker, for the coordinator
+	// to re-raise at the barrier.
 	verdict error
 	fatal   *PanicError
 
@@ -429,7 +430,7 @@ type shard struct {
 
 func newShard(e *Engine, idx int) *shard {
 	return &shard{eng: e, idx: idx, curDom: noDomain,
-		windowEnd: MaxTime, stopAt: MaxTime, home: make(chan struct{})}
+		windowEnd: MaxTime, stopAt: MaxTime}
 }
 
 // push schedules an event from source domain src onto destination domain
@@ -473,12 +474,13 @@ func (s *shard) bound() Time {
 }
 
 // next pops the next due event, advancing time and the watchdog counters.
-// Only the current token holder may call it. ok == false means this shard
-// is done for now: the horizon was reached, the queue drained, or the
-// watchdog fired (s.verdict). The driver decides what that means.
+// Only the actor currently executing on the shard may call it. ok == false
+// means this shard is done for now: the horizon was reached, the queue
+// drained, or the watchdog fired (s.verdict) — in every case the next
+// event stays queued. The caller decides what that means.
 func (s *shard) next() (event, bool) {
-	var ev event
 	bound := s.bound()
+	fromHeap := true
 	if s.fifo.n > 0 {
 		// Same-cycle work pending (s.now < bound by construction: the
 		// ring only fills at the executing cycle). Heap events can still
@@ -486,36 +488,38 @@ func (s *shard) next() (event, bool) {
 		if s.now >= bound {
 			return event{}, false // keep them queued for a later Run
 		}
-		if len(s.events) > 0 && s.events[0].at == s.now && s.events[0].before(&s.fifo.buf[s.fifo.head]) {
-			ev = s.events.pop()
-		} else {
-			ev = s.fifo.pop()
-		}
+		fromHeap = len(s.events) > 0 && s.events[0].at == s.now && s.events[0].before(&s.fifo.buf[s.fifo.head])
 	} else if len(s.events) > 0 {
-		if s.events[0].at >= bound {
+		at := s.events[0].at
+		if at >= bound {
 			if bound > s.now {
 				s.now = bound
 				s.stallEvents = 0
 			}
 			return event{}, false
 		}
-		ev = s.events.pop()
-		if ev.at > s.now {
+		if at > s.now {
 			s.stallEvents = 0
-			s.now = ev.at
+			s.now = at
 		}
 	} else {
 		// Queue drained: leave the clock at the last executed event (the
 		// sequential semantics; windowed shards converge at barriers).
 		return event{}, false
 	}
-	s.curAt, s.curDom, s.curSrc, s.curSeq = ev.at, ev.dom, ev.src, ev.seq
-	s.eventCount++
-	s.stallEvents++
-	if limit := s.eng.StallLimit; limit > 0 && s.stallEvents > limit {
+	if limit := s.eng.StallLimit; limit > 0 && s.stallEvents >= limit {
 		s.verdict = &StallError{Time: s.now, Events: s.stallEvents}
 		return event{}, false
 	}
+	var ev event
+	if fromHeap {
+		ev = s.events.pop()
+	} else {
+		ev = s.fifo.pop()
+	}
+	s.curAt, s.curDom, s.curSrc, s.curSeq = ev.at, ev.dom, ev.src, ev.seq
+	s.eventCount++
+	s.stallEvents++
 	return ev, true
 }
 
@@ -531,14 +535,12 @@ func (s *shard) empty() bool {
 // deadlock), a *StallError if the StallLimit watchdog detects a livelock,
 // and nil otherwise.
 //
-// Run drives the event loop on the calling goroutine until the first proc
-// wake, hands the execution token to that proc, and waits for the token to
-// come home; from then on the loop runs on whichever proc goroutine holds
-// the token (see shard.drive). Any panic escaping simulation code — an
-// event callback or a proc goroutine — is re-raised out of Run on the
-// caller's goroutine as a *PanicError carrying the simulated cycle, event
-// sequence number, and proc id, so a harness can recover it with full sim
-// context.
+// Run drives the event loop on the calling goroutine (see shard.drive),
+// resuming each woken proc's coroutine in turn. Any panic escaping
+// simulation code — an event callback or a proc body — is re-raised out
+// of Run on the caller's goroutine as a *PanicError carrying the
+// simulated cycle, event sequence number, and proc id, so a harness can
+// recover it with full sim context.
 //
 // With sharding configured, Run instead executes lookahead-bounded windows
 // on per-shard workers (see shard.go); the observable results are
@@ -553,30 +555,13 @@ func (e *Engine) Run(until Time) error {
 	s.stopAt = until
 	e.stopAt = until
 	s.verdict = nil
-	for {
-		ev, ok := s.next()
-		if !ok {
-			break
+	defer func() {
+		e.EventCount = s.eventCount
+		if r := recover(); r != nil {
+			panic(s.panicError(r, nil))
 		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue // stale wake for a finished proc
-		}
-		q.state = procRunning
-		q.resume <- ev.at // hand the token to q ...
-		<-s.home          // ... and wait for the run to end
-		break
-	}
-	e.EventCount = s.eventCount
-	if s.fatal != nil {
-		pe := s.fatal
-		s.fatal = nil
-		panic(pe)
-	}
+	}()
+	s.drive()
 	return e.finishVerdict(s)
 }
 
@@ -637,91 +622,69 @@ func (e *Engine) partition() {
 	}
 }
 
-// drive runs the event loop on a parked proc's goroutine (the token
-// holder) until the proc's own wake pops, returning the wake time. Another
-// proc's wake hands the token to that proc in a single channel send — the
-// driver is not involved — after which self waits to be resumed the same
-// way. A stop condition sends the token home and leaves self parked for a
-// later window or Run.
-func (s *shard) drive(self *Proc) Time {
-	for {
-		ev, ok := s.next()
-		if !ok {
-			s.sendHome()
-			return <-self.resume
+// schedYieldSwitches is how many proc switches the driver makes between
+// yields to the Go scheduler. Coroutine switches bypass the scheduler, and
+// the runtime starts its background GC mark workers only from it, so with
+// one P a run that never yields leaves all marking to allocation assists,
+// billed to whatever allocates next, such as a harness's next machine
+// set-up. On a 2-CPU go1.24 host at GOMAXPROCS 1, set-up after a 64-core
+// run took about 20% longer than with channel handoffs when the driver
+// never yielded, and was level with it when it yielded every 16 switches,
+// at a cost of about 5% of an 8-core search run's host time.
+const schedYieldSwitches = 16
+
+// drive is the shard's driver loop: it runs events until a stop
+// condition, resuming each woken proc's coroutine. A resumed proc runs
+// until it parks and yields the next proc to resume — the owner of a wake
+// it popped while parked — or nil at a stop condition or when its body
+// returns; the loop then pops again (next() is idempotent at a stop).
+func (s *shard) drive() {
+	switches := 0
+	for q := s.nextWake(); q != nil; q = s.nextWake() {
+		for q != nil {
+			q.state = procRunning
+			q, _ = q.resume()
+			if switches++; switches%schedYieldSwitches == 0 {
+				runtime.Gosched()
+			}
 		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue
-		}
-		if q == self {
-			return ev.at // own wake: keep the token, no handoff at all
-		}
-		q.state = procRunning
-		q.resume <- ev.at
-		return <-self.resume
 	}
 }
 
-// driveDetached runs the event loop on a completed proc's goroutine, which
-// still holds the token but is about to exit: it drives until the token
-// can move to another proc or go home. An event panic here has no user
-// stack to unwind through, so it is captured like a proc panic and
-// re-raised by Run.
-func (s *shard) driveDetached() {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*PanicError)
-			if !ok {
-				pe = &PanicError{Cycle: s.now, EventSeq: s.curSeq, ProcID: -1,
-					Value: r, Stack: stack()}
-			}
-			s.fatal = pe
-			s.sendHome()
-		}
-	}()
+// nextWake runs event callbacks until the next wake of a live proc, which
+// it returns; nil means a stop condition.
+func (s *shard) nextWake() *Proc {
 	for {
 		ev, ok := s.next()
 		if !ok {
-			s.sendHome()
-			return
+			return nil
 		}
 		if ev.p == nil {
-			s.exec(ev)
+			s.inEvent = true
+			ev.fn()
+			s.inEvent = false
 			continue
 		}
-		q := ev.p
-		if q.state == procDone {
-			continue
+		if ev.p.state != procDone { // else a stale wake for a finished proc
+			return ev.p
 		}
-		q.state = procRunning
-		q.resume <- ev.at
-		return
 	}
 }
 
-// sendHome returns the execution token to the shard's driver. The driver
-// is always waiting: the token only ever leaves its goroutine via its own
-// handoff, after which it blocks on home.
-func (s *shard) sendHome() { s.home <- struct{}{} }
-
-// exec runs one event, wrapping any escaping panic in a *PanicError so it
-// reaches Run's caller with sim context attached.
-func (s *shard) exec(ev event) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*PanicError); ok {
-				panic(pe) // already wrapped (proc-side or nested event)
-			}
-			panic(&PanicError{Cycle: s.now, EventSeq: ev.seq, ProcID: -1,
-				Value: r, Stack: stack()})
-		}
-	}()
-	ev.fn()
+// panicError wraps a recovered panic value with sim context. p is the
+// proc whose coroutine caught it (nil on the driver); a panic raised by an
+// event callback is attributed to the engine (ProcID -1) either way.
+func (s *shard) panicError(r interface{}, p *Proc) *PanicError {
+	if pe, ok := r.(*PanicError); ok {
+		return pe // already wrapped (proc-side or nested event)
+	}
+	pe := &PanicError{ProcID: -1, Cycle: s.now, EventSeq: s.curSeq,
+		Value: r, Stack: stack()}
+	if p != nil && !s.inEvent {
+		pe.ProcID, pe.LocalClk = p.ID, p.clock
+	}
+	s.inEvent = false
+	return pe
 }
 
 // Drain runs until the event queue is empty (no time bound).

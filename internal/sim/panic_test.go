@@ -94,3 +94,53 @@ func TestKillAllAfterProcPanic(t *testing.T) {
 		t.Fatal("blocked proc was not unwound after panic")
 	}
 }
+
+// An event callback that panics while a parked proc runs it inline is
+// attributed to the engine and to that event, not to the proc.
+func TestEventPanicInsideProcPark(t *testing.T) {
+	e := NewEngine()
+	for c := Time(1); c <= 3; c++ {
+		e.At(c, func() {})
+	}
+	e.At(5, func() { panic("evt") }) // the system domain's 4th event
+	e.Spawn(2, 0, 1, func(p *Proc) {
+		p.Work(10)
+		p.Sync() // parks: the events at 1..5 run inline on this proc
+	})
+	pe := recoverPanicError(t, func() { e.Drain() })
+	if pe == nil {
+		t.Fatal("event panic not wrapped")
+	}
+	if pe.ProcID != -1 || pe.EventSeq != 4 || pe.Cycle != 5 {
+		t.Errorf("PanicError = {ProcID %d, EventSeq %d, Cycle %d}, want {-1, 4, 5}",
+			pe.ProcID, pe.EventSeq, pe.Cycle)
+	}
+	if !strings.Contains(string(pe.Stack), "(*Proc).park") {
+		t.Errorf("panic was not raised inside the proc's park:\n%s", pe.Stack)
+	}
+}
+
+func TestProcPanicSharded(t *testing.T) {
+	e := NewEngine()
+	twoShards(e, 10)
+	e.Spawn(0, 0, 1, func(p *Proc) {
+		for {
+			p.Work(1)
+			p.Sync()
+		}
+	})
+	e.Spawn(1, 0, 2, func(p *Proc) {
+		p.Work(25)
+		p.Sync()
+		panic("boom")
+	})
+	pe := recoverPanicError(t, func() { e.Run(100) })
+	if pe == nil {
+		t.Fatal("proc panic on a worker shard did not reach the Run caller")
+	}
+	if pe.ProcID != 1 || pe.Cycle != 25 || pe.Value != "boom" {
+		t.Errorf("PanicError = {ProcID %d, Cycle %d, Value %v}, want {1, 25, boom}",
+			pe.ProcID, pe.Cycle, pe.Value)
+	}
+	e.KillAll()
+}

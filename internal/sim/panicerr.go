@@ -10,10 +10,14 @@ import (
 // the event being executed, and the proc involved (-1 for panics raised in
 // engine-event context, e.g. inside the coherence protocol).
 //
-// Panics on proc goroutines cannot unwind into a harness's recover (they
-// are on the wrong goroutine), so the Spawn wrapper captures them, parks
-// the proc as done, and the engine re-raises the PanicError on its own
-// goroutine — the one Run's caller can recover on.
+// A proc body runs as a coroutine: its Spawn wrapper wraps a panic with
+// the proc's context (or the engine's, if an event callback the parked
+// proc was running inline panicked) and marks the proc done, and the
+// coroutine re-raises the PanicError on the goroutine that resumed it.
+// Run wraps panics from callbacks its own driver loop runs, and under
+// sharding re-raises a window worker's panic at the next barrier, so
+// every PanicError surfaces on Run's caller's goroutine, where a harness
+// can recover it.
 type PanicError struct {
 	ProcID   int    // panicking proc, or -1 for engine-event context
 	Cycle    Time   // simulated time of the panic

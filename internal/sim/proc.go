@@ -12,12 +12,12 @@ const (
 )
 
 // Proc is a simulated hardware context (one in-order core running one
-// thread). Proc code runs on its own goroutine, but exactly one actor per
-// shard — the shard's driver or one of its procs — executes at any
-// instant: a single "execution token" moves between them (see shard.drive),
-// so all engine and simulated state owned by the shard is accessed
-// race-free without locks. Each proc is its own scheduling domain
-// (id = proc id), which under sharding pins it to one shard.
+// thread). Proc code runs as a coroutine (see coroutine), and exactly one
+// actor per shard — the shard's driver or one of its procs — executes at
+// any instant (see shard.drive), so all engine and simulated state owned
+// by the shard is accessed race-free without locks. Each proc is its own
+// scheduling domain (id = proc id), which under sharding pins it to one
+// shard.
 //
 // A proc keeps a local clock that it advances as it "executes". Before any
 // action that can touch shared simulated state it must call Sync, which
@@ -31,11 +31,13 @@ type Proc struct {
 	clock Time
 	state procState
 
-	// resume delivers the execution token (and the wake time) to a parked
-	// proc: from the driver that popped its wake event, or from Kill.
-	resume chan Time
-	// yield hands control back to Kill after a killed proc unwinds.
-	yield chan struct{}
+	// resume switches to the proc's coroutine until it parks (returning
+	// the proc to resume next, or nil) or its body returns. yield is the
+	// coroutine side of that switch; stop makes a pending yield return
+	// false, which unwinds a killed proc.
+	resume func() (*Proc, bool)
+	yield  func(*Proc) bool
+	stop   func()
 
 	blockReason string
 	blockSince  Time
@@ -53,72 +55,46 @@ type Proc struct {
 // events keyed by the proc's own sequence counter.
 func (p *Proc) scheduleWake(t Time) { p.dom.sh.push(p.dom, p.dom, t, nil, p) }
 
-// killToken unwinds a killed proc's goroutine through a panic that the
+// killToken unwinds a killed proc's coroutine through a panic that the
 // Spawn wrapper recovers.
 type killToken struct{}
 
 // Spawn creates a proc running fn, starting at time start. fn runs to
-// completion on its own goroutine, interleaved deterministically with other
+// completion as a coroutine, interleaved deterministically with other
 // procs by the engine. The proc's scheduling domain is uint32(id).
 func (e *Engine) Spawn(id int, start Time, seed uint64, fn func(*Proc)) *Proc {
 	p := &Proc{
-		ID:     id,
-		eng:    e,
-		dom:    e.Domain(uint32(id)),
-		resume: make(chan Time),
-		yield:  make(chan struct{}),
-		rng:    NewRNG(seed),
+		ID:  id,
+		eng: e,
+		dom: e.Domain(uint32(id)),
+		rng: NewRNG(seed),
 	}
 	e.procs = append(e.procs, p)
-	go func() {
+	p.resume, p.stop = coroutine(func(yield func(*Proc) bool) {
+		p.yield = yield
 		defer func() {
-			s := p.dom.sh
+			p.state = procDone
 			if r := recover(); r != nil {
 				if _, ok := r.(killToken); !ok {
-					// A panic here is on the proc goroutine, where no
-					// harness can recover it. Wrap it with sim context
-					// and hand it to the Run caller, which re-raises it
-					// on its own goroutine (see Engine.Run).
-					pe, ok := r.(*PanicError)
-					if !ok {
-						pe = &PanicError{ProcID: p.ID, Cycle: s.now,
-							LocalClk: p.clock, EventSeq: s.curSeq,
-							Value: r, Stack: stack()}
-					}
-					s.fatal = pe
+					// The coroutine re-raises this on the goroutine
+					// that resumed it, where Run recovers it.
+					panic(p.dom.sh.panicError(r, p))
 				}
 			}
-			p.state = procDone
-			if p.killed {
-				p.yield <- struct{}{} // hand control back to Kill
-				return
-			}
-			if s.fatal != nil {
-				// Abort the run: send the token home; the driver
-				// re-raises.
-				s.sendHome()
-				return
-			}
-			// Normal completion: this goroutine still holds the shard's
-			// execution token, so it keeps driving the simulation until
-			// the token can move to another actor, then exits.
-			s.driveDetached()
 		}()
-		t := <-p.resume
-		p.clock = t
-		if !p.killed {
-			fn(p)
-		}
-	}()
+		p.clock = p.dom.sh.now
+		fn(p)
+	})
 	p.state = procBlocked
 	p.blockReason = "waiting to start"
 	p.scheduleWake(start)
 	return p
 }
 
-// park records the proc as blocked and drives the engine until the proc's
-// own wake fires (possibly after handing the token to other procs in
-// between), returning the wake time.
+// park records the proc as blocked and runs the shard's events until the
+// proc's own wake fires, returning the wake time. Callbacks and the proc's
+// own wake run inline, with no switch; another proc's wake, or a stop
+// condition, suspends the coroutine until the driver resumes it.
 func (p *Proc) park(reason string) Time {
 	if p.killed {
 		// The killToken unwind can run user defers (e.g. a deferred
@@ -127,18 +103,20 @@ func (p *Proc) park(reason string) Time {
 		// completed instantly.
 		return p.clock
 	}
+	s := p.dom.sh
 	p.state = procBlocked
 	p.blockReason = reason
-	p.blockSince = p.dom.sh.now
-	t := p.dom.sh.drive(p)
-	if p.killed {
+	p.blockSince = s.now
+	if q := s.nextWake(); q == p {
+		p.state = procRunning
+	} else if !p.yield(q) {
 		panic(killToken{})
 	}
-	p.state = procRunning
-	return t
+	// A wake pops at its own cycle, so the shard clock is the wake time.
+	return s.now
 }
 
-// Kill unwinds a blocked proc: its goroutine exits without running further
+// Kill unwinds a blocked proc: its coroutine exits without running further
 // user code. Kill must only be called while the engine is idle (Run has
 // returned); it is a no-op on running or finished procs.
 func (p *Proc) Kill() {
@@ -146,9 +124,8 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	p.state = procRunning
-	p.resume <- 0
-	<-p.yield
+	p.stop()
+	p.state = procDone // the body never started if Kill preceded its wake
 }
 
 // KillAll unwinds every blocked proc. Call after Run returns to tear a
@@ -168,8 +145,8 @@ func (e *Engine) KillAll() {
 // local clock (and the clock is inside the current execution horizon),
 // parking would only make the proc's own wake the next event executed, so
 // the proc advances the shard clock itself and keeps running — no event,
-// no handoff. This is safe (the proc holds the shard's execution token, so
-// it has exclusive access to shard state) and exactly order-preserving:
+// no switch. This is safe (the proc is the shard's only executing actor,
+// so it has exclusive access to shard state) and exactly order-preserving:
 // the wake it skips would have been the next event.
 func (p *Proc) Sync() {
 	s := p.dom.sh

@@ -169,37 +169,13 @@ func (e *Engine) refreshCounts() {
 }
 
 // runWindow drives one shard until its horizon (windowEnd, set by the
-// coordinator, or the run's stop time). It owns the shard's execution
-// token for the duration; proc wakes hand the token out and it comes home
-// when a stop condition is reached. Panics from events or procs are
-// captured into s.fatal for the coordinator to re-raise.
+// coordinator, or the run's stop time). A panic from an event or a proc is
+// captured into s.fatal for the coordinator to re-raise at the barrier.
 func (s *shard) runWindow() {
 	defer func() {
 		if r := recover(); r != nil {
-			pe, ok := r.(*PanicError)
-			if !ok {
-				pe = &PanicError{Cycle: s.now, EventSeq: s.curSeq, ProcID: -1,
-					Value: r, Stack: stack()}
-			}
-			s.fatal = pe
+			s.fatal = s.panicError(r, nil)
 		}
 	}()
-	for {
-		ev, ok := s.next()
-		if !ok {
-			return
-		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue
-		}
-		q.state = procRunning
-		q.resume <- ev.at // hand the token to q ...
-		<-s.home          // ... and take it back when the window is over
-		return
-	}
+	s.drive()
 }
