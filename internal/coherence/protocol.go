@@ -20,6 +20,24 @@ const (
 	ProtocolTardis = "tardis"
 )
 
+// ProtocolViolationError is the panic value raised when simulated hardware
+// state contradicts a protocol invariant (e.g. Proposition 1's single
+// queued probe, or an expiry timer firing for a lease or reservation that
+// is no longer held). It indicates a simulator bug — not a recoverable
+// simulation condition — but carrying a typed value lets harnesses recover
+// it into a structured diagnostic instead of dying on a bare string.
+type ProtocolViolationError struct {
+	Rule   string   // short invariant name
+	Core   int      // core involved, or -1
+	Line   mem.Line // line involved, or 0
+	Detail string
+}
+
+func (e *ProtocolViolationError) Error() string {
+	return fmt.Sprintf("protocol violation [%s] core %d line %#x: %s",
+		e.Rule, e.Core, uint64(e.Line), e.Detail)
+}
+
 // Protocols lists the valid protocol names, in canonical order.
 func Protocols() []string { return []string{ProtocolMSI, ProtocolTardis} }
 

@@ -68,9 +68,22 @@ func (c Config) withDefaults() Config {
 // reservation itself (end in the past) so a later re-read can check
 // whether the line was written since (wts match = tag-only renewal).
 type reservation struct {
-	end uint64 // absolute cycle the Shared copy self-invalidates
-	gen uint64 // grant generation; stale self-invalidation timers no-op
-	wts uint64 // line wts at grant time (renewal check)
+	end uint64    // absolute cycle the Shared copy self-invalidates
+	wts uint64    // line wts at grant time (renewal check)
+	t   *resTimer // armed self-invalidation; nil once it fired or stopped
+}
+
+// resTimer is a reusable self-invalidation timer serving one live
+// reservation at a time. Idle timers wait on Protocol.idleTimers, so the
+// timers in existence track live reservations, not every record kept for
+// renewal checks, and a grant allocates nothing in steady state.
+type resTimer struct {
+	p    *Protocol
+	t    *sim.Timer // callback bound once, at creation
+	e    *entry
+	rec  *reservation
+	core int
+	line mem.Line
 }
 
 // entry is the timestamp manager's per-line state.
@@ -104,7 +117,8 @@ type Protocol struct {
 	entries map[mem.Line]*entry
 	rng     sim.RNG
 	pts     []uint64 // per-core program timestamps
-	genSeq  uint64
+
+	idleTimers []*resTimer // free list of self-invalidation timers
 
 	// MaxQueue is the peak per-line queue occupancy observed; the other
 	// counters are described on coherence.ProtoStats.
@@ -300,18 +314,62 @@ func (p *Protocol) ownerDowngraded(req *coherence.Request) {
 
 // reserve grants core a read reservation on l until end: the record feeds
 // renewal checks and VerifyLine, and the timer self-invalidates the copy
-// when the reservation elapses — costing no coherence messages.
+// when the reservation elapses — costing no coherence messages. A
+// re-grant stops the previous reservation's timer first.
 func (p *Protocol) reserve(e *entry, core int, l mem.Line, end uint64) {
-	p.genSeq++
-	gen := p.genSeq
-	e.res[core] = &reservation{end: end, gen: gen, wts: e.wts}
-	p.eng.At(end, func() {
-		rec, ok := e.res[core]
-		if !ok || rec.gen != gen {
-			return // re-granted, evicted, or promoted to owner meanwhile
-		}
-		p.env.Invalidate(core, l)
-	})
+	rec := e.res[core]
+	if rec == nil {
+		rec = new(reservation)
+		e.res[core] = rec
+	}
+	p.stopTimer(rec)
+	rec.end, rec.wts = end, e.wts
+	var rt *resTimer
+	if n := len(p.idleTimers); n > 0 {
+		rt = p.idleTimers[n-1]
+		p.idleTimers = p.idleTimers[:n-1]
+	} else {
+		rt = &resTimer{p: p}
+		rt.t = sim.NewTimer(rt.expire)
+	}
+	rt.e, rt.rec, rt.core, rt.line = e, rec, core, l
+	rec.t = rt
+	p.eng.Sys().Arm(rt.t, end)
+}
+
+// stopTimer cancels rec's self-invalidation, if still armed.
+func (p *Protocol) stopTimer(rec *reservation) {
+	if rt := rec.t; rt != nil {
+		rt.t.Stop()
+		p.freeTimer(rt)
+	}
+}
+
+func (p *Protocol) freeTimer(rt *resTimer) {
+	rt.rec.t, rt.rec, rt.e = nil, nil, nil
+	p.idleTimers = append(p.idleTimers, rt)
+}
+
+// expire self-invalidates the reserved copy. Every path that drops or
+// re-grants the record stops its timer, so a firing timer that is not its
+// live record's current timer is a missed Stop.
+func (rt *resTimer) expire() {
+	p, core, l := rt.p, rt.core, rt.line
+	if rt.e.res[core] != rt.rec || rt.rec.t != rt {
+		panic(&coherence.ProtocolViolationError{Rule: "reservation-live", Core: core, Line: l,
+			Detail: "read-reservation expiry fired for a dropped reservation (missed timer Stop)"})
+	}
+	p.freeTimer(rt)
+	p.env.Invalidate(core, l)
+}
+
+// dropReservation deletes core's reservation record on e, stopping its
+// self-invalidation timer.
+func (p *Protocol) dropReservation(e *entry, core int) {
+	if rec := e.res[core]; rec != nil {
+		p.stopTimer(rec)
+		delete(e.res, core)
+	}
 }
 
 // complete commits the pending transition, installs the line at the
@@ -332,7 +390,7 @@ func (p *Protocol) complete(req *coherence.Request) {
 		}
 		e.wts, e.rts = wts, wts
 		e.owned, e.owner = true, req.Core
-		delete(e.res, req.Core) // the owner needs no read reservation
+		p.dropReservation(e, req.Core) // the owner needs no read reservation
 		p.bumpPts(req.Core, wts)
 	} else {
 		end := now + p.cfg.ReadLease
@@ -373,11 +431,11 @@ func (p *Protocol) Writeback(core int, l mem.Line) {
 }
 
 // SharerDrop records a silent Shared eviction: the reservation record is
-// dropped so the self-invalidation timer no-ops and a later re-read takes
-// a full fill (the data is gone from the L1 either way).
+// dropped and its self-invalidation timer stopped, so a later re-read
+// takes a full fill (the data is gone from the L1 either way).
 func (p *Protocol) SharerDrop(core int, l mem.Line) {
 	if e, ok := p.entries[l]; ok {
-		delete(e.res, core)
+		p.dropReservation(e, core)
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // The table is pure bookkeeping — it decides *whether* an incoming
 // coherence probe must be deferred and *what* must happen on a release —
-// while the machine package wires it to the cache controller, schedules
-// expiry events, and actually delivers deferred probes. Keeping the table
+// while the machine package wires it to the cache controller, arms
+// expiry timers, and actually delivers deferred probes. Keeping the table
 // free of simulator dependencies makes the paper's semantics directly
 // unit-testable.
 //
@@ -47,7 +47,12 @@ type Entry struct {
 	Duration uint64 // clamped lease length in cycles
 	Started  bool   // ownership granted, countdown running
 	Deadline uint64 // absolute expiry time, valid when Started
-	Gen      uint64 // generation, to lazily cancel stale expiry events
+	Gen      uint64 // insertion generation: strictly increasing in FIFO order
+
+	// Timer is the caller's handle on the entry's expiry timer while the
+	// countdown runs, opaque to the table: the machine keeps its
+	// cancellable timer here so every early release can stop it.
+	Timer interface{}
 
 	// InGroup marks membership in the core's single active MultiLease
 	// group. Group entries defer probes during the acquisition phase
@@ -243,18 +248,6 @@ func (t *Table) Remove(l mem.Line) *Entry {
 		}
 	}
 	panic("core: table fifo/byLine out of sync")
-}
-
-// RemoveIfGen deletes the entry for line l only if it still has generation
-// gen and has started; it returns the entry or nil. Expiry events use this
-// to cancel lazily: a voluntary release or FIFO eviction bumps the entry
-// out, and the stale timer then finds nothing.
-func (t *Table) RemoveIfGen(l mem.Line, gen uint64) *Entry {
-	e := t.byLine[l]
-	if e == nil || e.Gen != gen || !e.Started {
-		return nil
-	}
-	return t.Remove(l)
 }
 
 // RemoveOldest force-releases the oldest lease (used when an L1 set is

@@ -168,25 +168,21 @@ func TestSecondProbePanics(t *testing.T) {
 	tb.QueueProbe(1, "b")
 }
 
-func TestRemoveIfGen(t *testing.T) {
+// TestInsertGenMonotonic: generations strictly increase in insertion
+// order, also when a released line is leased again (the invariant
+// checker's FIFO rule relies on it).
+func TestInsertGenMonotonic(t *testing.T) {
 	tb := newT(4)
 	tb.Insert(1, 40, false)
 	gen := tb.Find(1).Gen
-	if tb.RemoveIfGen(1, gen) != nil {
-		t.Fatal("RemoveIfGen before Start must be nil (timer cannot exist)")
+	tb.Insert(2, 40, false)
+	if g := tb.Find(2).Gen; g <= gen {
+		t.Fatalf("second insert gen %d, want > %d", g, gen)
 	}
-	tb.Start(1, 0)
-	if tb.RemoveIfGen(1, gen+1) != nil {
-		t.Fatal("stale generation matched")
-	}
-	if tb.RemoveIfGen(1, gen) == nil {
-		t.Fatal("matching generation did not remove")
-	}
-	// Re-lease the same line: new generation, stale timer must not fire.
+	tb.Remove(1)
 	tb.Insert(1, 40, false)
-	tb.Start(1, 0)
-	if tb.RemoveIfGen(1, gen) != nil {
-		t.Fatal("old-generation timer removed a fresh lease")
+	if g := tb.Find(1).Gen; g <= tb.Find(2).Gen {
+		t.Fatalf("re-leased line gen %d, want > %d", g, tb.Find(2).Gen)
 	}
 }
 

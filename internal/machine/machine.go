@@ -52,21 +52,9 @@ type Machine struct {
 
 // ProtocolViolationError is the panic value raised when simulated hardware
 // state contradicts a protocol invariant (e.g. Proposition 1's single
-// queued probe, or a pinned set with an empty lease table). It indicates a
-// simulator bug — not a recoverable simulation condition — but carrying a
-// typed value lets harnesses recover it into a structured diagnostic
-// instead of dying on a bare string.
-type ProtocolViolationError struct {
-	Rule   string   // short invariant name
-	Core   int      // core involved, or -1
-	Line   mem.Line // line involved, or 0
-	Detail string
-}
-
-func (e *ProtocolViolationError) Error() string {
-	return fmt.Sprintf("machine: protocol violation [%s] core %d line %#x: %s",
-		e.Rule, e.Core, uint64(e.Line), e.Detail)
-}
+// queued probe, or a pinned set with an empty lease table); see
+// coherence.ProtocolViolationError.
+type ProtocolViolationError = coherence.ProtocolViolationError
 
 type coreState struct {
 	id     int
@@ -85,6 +73,20 @@ type coreState struct {
 	// poison mode (see pool_poison_race.go).
 	req     *coherence.Request
 	reqBusy bool
+
+	// idleTimers is the core's free list of lease-expiry timers: a core
+	// holds at most MaxNumLeases started leases, so the list stays that
+	// short and arming an expiry allocates nothing in steady state.
+	idleTimers []*leaseTimer
+}
+
+// leaseTimer is a reusable expiry timer for one started lease. Its
+// callback is bound once, when the timer is first made.
+type leaseTimer struct {
+	m  *Machine
+	cs *coreState
+	t  *sim.Timer
+	e  *core.Entry // the lease it expires; nil while idle
 }
 
 // New builds a machine from cfg.
@@ -410,36 +412,71 @@ func (m *Machine) serveDeferred(cs *coreState, e *core.Entry) {
 	m.proto.ProbeDone(cs.id, req)
 }
 
-// scheduleExpiry arms the involuntary-release timer for a started lease.
-// Cancellation is lazy: the timer checks the entry generation. Fault
-// injection may pull the timer earlier — an involuntary break before the
-// full duration, always legal since MAX_LEASE_TIME is only an upper bound.
+// scheduleExpiry arms the involuntary-release timer for a started lease,
+// taking one from the core's free list. Every path that removes a started
+// entry from the table before its deadline stops the timer (stopExpiry),
+// so the queue holds only live deadlines and a timer that fires always
+// finds its lease live. Fault injection may pull the timer earlier — an
+// involuntary break before the full duration, always legal since
+// MAX_LEASE_TIME is only an upper bound.
 func (m *Machine) scheduleExpiry(cs *coreState, e *core.Entry) {
-	line, gen := e.Line, e.Gen
 	at := e.Deadline
 	if cut := m.faults.LeaseCut(e.Duration); cut > 0 {
 		at -= cut
 	}
-	cs.dom.At(at, func() {
-		x := cs.leases.RemoveIfGen(line, gen)
-		if x == nil {
-			return // released voluntarily (or evicted) in the meantime
-		}
-		atomic.AddUint64(&m.stats.InvoluntaryReleases, 1)
-		m.traceVal(cs, TraceInvoluntary, line, x.Duration)
-		cs.pred.record(x.Site, false)
-		if shrank, _ := cs.ctrl.record(x.Site, false); shrank {
-			atomic.AddUint64(&m.stats.CtrlShrinks, 1)
-		}
-		cs.l1.Unpin(line)
-		m.proto.LeaseReleased(cs.id, line)
-		m.serveDeferred(cs, x)
-	})
+	var lt *leaseTimer
+	if n := len(cs.idleTimers); n > 0 {
+		lt = cs.idleTimers[n-1]
+		cs.idleTimers = cs.idleTimers[:n-1]
+	} else {
+		lt = &leaseTimer{m: m, cs: cs}
+		lt.t = sim.NewTimer(lt.expire)
+	}
+	lt.e, e.Timer = e, lt
+	cs.dom.Arm(lt.t, at)
+}
+
+// stopExpiry cancels the expiry timer of an entry leaving the table early
+// and returns the timer to the free list; an entry whose countdown never
+// started has none.
+func (cs *coreState) stopExpiry(e *core.Entry) {
+	if lt, ok := e.Timer.(*leaseTimer); ok {
+		lt.t.Stop()
+		cs.freeTimer(lt)
+	}
+}
+
+func (cs *coreState) freeTimer(lt *leaseTimer) {
+	lt.e.Timer, lt.e = nil, nil
+	cs.idleTimers = append(cs.idleTimers, lt)
+}
+
+// expire is the involuntary release of Algorithm 1: the countdown ran out
+// while the lease was still held.
+func (lt *leaseTimer) expire() {
+	m, cs, x := lt.m, lt.cs, lt.e
+	if cs.leases.Find(x.Line) != x || !x.Started {
+		panic(&ProtocolViolationError{Rule: "expiry-live", Core: cs.id, Line: x.Line,
+			Detail: "lease expiry fired for a lease no longer held (missed timer Stop)"})
+	}
+	cs.leases.Remove(x.Line)
+	cs.freeTimer(lt)
+	atomic.AddUint64(&m.stats.InvoluntaryReleases, 1)
+	m.traceVal(cs, TraceInvoluntary, x.Line, x.Duration)
+	cs.pred.record(x.Site, false)
+	if shrank, _ := cs.ctrl.record(x.Site, false); shrank {
+		atomic.AddUint64(&m.stats.CtrlShrinks, 1)
+	}
+	cs.l1.Unpin(x.Line)
+	m.proto.LeaseReleased(cs.id, x.Line)
+	m.serveDeferred(cs, x)
 }
 
 // releaseEntry performs the core-side actions of a voluntary-class release
-// (voluntary, FIFO eviction, ReleaseAll): unpin and service the probe.
+// (voluntary, FIFO eviction, ReleaseAll, forced): stop the expiry timer,
+// unpin and service the probe.
 func (m *Machine) releaseEntry(cs *coreState, e *core.Entry) {
+	cs.stopExpiry(e)
 	cs.pred.record(e.Site, true)
 	if _, grew := cs.ctrl.record(e.Site, true); grew {
 		atomic.AddUint64(&m.stats.CtrlGrows, 1)
@@ -520,6 +557,7 @@ func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 		if m.cfg.RegularBreaksLease && !req.Lease {
 			// §5 prioritization: a regular request breaks the lease.
 			e := cs.leases.Remove(req.Line)
+			cs.stopExpiry(e)
 			atomic.AddUint64(&m.stats.BrokenLeases, 1)
 			m.traceVal(cs, TraceBroken, req.Line, leaseHold(e, cs.dom.Now()))
 			cs.l1.Unpin(req.Line)

@@ -53,3 +53,23 @@ func TestCoreArenaAllocZeroAlloc(t *testing.T) {
 		t.Errorf("arena AllocAligned allocates %.1f host objects, want 0", allocs)
 	}
 }
+
+// TestLeaseExpiryZeroAlloc asserts arming a started lease's expiry timer
+// and releasing the lease allocate nothing in steady state: the timer
+// comes from the core's free list, with its callback bound once.
+func TestLeaseExpiryZeroAlloc(t *testing.T) {
+	m := New(testConfig(1))
+	cs := m.cores[0]
+	cs.leases.Insert(5, 1000, false)
+	e := cs.leases.Start(5, 0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.scheduleExpiry(cs, e)
+		m.releaseEntry(cs, e)
+	})
+	if allocs != 0 {
+		t.Errorf("lease expiry arm + release allocates %.1f objects, want 0", allocs)
+	}
+	if m.eng.Pending() != 0 {
+		t.Errorf("released lease left %d pending events, want 0", m.eng.Pending())
+	}
+}

@@ -126,3 +126,38 @@ func TestBlockWakeZeroAlloc(t *testing.T) {
 		t.Errorf("block/wake allocates %.1f objects per 32 cycles, want 0", allocs)
 	}
 }
+
+// TestTimerZeroAlloc drives the lease-expiry shape: an event arms a
+// deadline and a later one stops it, while a second timer fires and
+// re-arms itself. Arm, Stop and firing allocate nothing once the timer
+// queue has grown.
+func TestTimerZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	e := NewEngine()
+	d := e.Domain(0)
+	expiry := NewTimer(func() { t.Error("stopped timer fired") })
+	var tick *Timer
+	tick = NewTimer(func() { d.Arm(tick, d.Now()+3) })
+	d.Arm(tick, 1)
+	var step func()
+	step = func() {
+		if !expiry.Stop() {
+			d.Arm(expiry, d.Now()+1000)
+		}
+		d.After(2, step)
+	}
+	d.After(1, step)
+	if err := e.Run(100); err != nil { // warm up
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Run(e.Now() + 32); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("timer arm/stop/fire allocates %.1f objects per 32 cycles, want 0", allocs)
+	}
+}

@@ -9,6 +9,12 @@
 // produces bit-identical results (see shard.go for the windowed parallel
 // executor; with one shard the engine is the familiar sequential kernel).
 //
+// A deadline that is usually cancelled before it comes due (a lease
+// expiry, a read-reservation timeout) is a Timer rather than an event:
+// armed timers sit in a per-shard indexed heap under the same canonical
+// key an At event would get, and Stop removes one at once instead of
+// leaving a dead event in the queue (see timer.go).
+//
 // Simulated cores run as coroutines (iter.Pull) that are woken by events
 // and yield before every action that can observe or affect shared
 // simulated state. Each shard has one driver loop (shard.drive), run by
@@ -268,9 +274,10 @@ type Engine struct {
 	stats engineCounters
 
 	// EventCount is the total number of events executed so far, across all
-	// shards; refreshed when Run returns. A proc Sync that fast-forwards
-	// time (nothing else was due first) consumes no event and is not
-	// counted.
+	// shards; refreshed when Run returns. A fired Timer counts as one
+	// event; a stopped one never ran and is not counted. A proc Sync that
+	// fast-forwards time (nothing else was due first) consumes no event
+	// and is not counted.
 	EventCount uint64
 
 	// StallLimit is the no-progress watchdog: the maximum number of
@@ -390,6 +397,7 @@ type shard struct {
 	now    Time
 	events eventHeap // future (and cross-domain same-cycle) events
 	fifo   eventRing // same-cycle same-domain events, in insertion order
+	timers timerHeap // armed timers (Domain.Arm), merged with events by key
 
 	// Canonical key of the event currently executing (curAt/curDom/
 	// curSrc/curSeq), maintained by next() as the single source of truth.
@@ -480,17 +488,26 @@ func (s *shard) bound() Time {
 // event stays queued. The caller decides what that means.
 func (s *shard) next() (event, bool) {
 	bound := s.bound()
-	fromHeap := true
+	// top is the earlier of the heap top and the timer-queue top.
+	var top *event
+	fromTimer := false
+	if len(s.events) > 0 {
+		top = &s.events[0]
+	}
+	if len(s.timers) > 0 && (top == nil || s.timers[0].ev.before(top)) {
+		top, fromTimer = &s.timers[0].ev, true
+	}
+	fromRing := false
 	if s.fifo.n > 0 {
 		// Same-cycle work pending (s.now < bound by construction: the
-		// ring only fills at the executing cycle). Heap events can still
-		// order first — compare keys.
+		// ring only fills at the executing cycle). Queued events can
+		// still order first — compare keys.
 		if s.now >= bound {
 			return event{}, false // keep them queued for a later Run
 		}
-		fromHeap = len(s.events) > 0 && s.events[0].at == s.now && s.events[0].before(&s.fifo.buf[s.fifo.head])
-	} else if len(s.events) > 0 {
-		at := s.events[0].at
+		fromRing = top == nil || top.at != s.now || !top.before(&s.fifo.buf[s.fifo.head])
+	} else if top != nil {
+		at := top.at
 		if at >= bound {
 			if bound > s.now {
 				s.now = bound
@@ -512,10 +529,13 @@ func (s *shard) next() (event, bool) {
 		return event{}, false
 	}
 	var ev event
-	if fromHeap {
-		ev = s.events.pop()
-	} else {
+	switch {
+	case fromRing:
 		ev = s.fifo.pop()
+	case fromTimer:
+		ev = s.timers.pop()
+	default:
+		ev = s.events.pop()
 	}
 	s.curAt, s.curDom, s.curSrc, s.curSeq = ev.at, ev.dom, ev.src, ev.seq
 	s.eventCount++
@@ -523,10 +543,23 @@ func (s *shard) next() (event, bool) {
 	return ev, true
 }
 
+// queuedAt returns the earliest cycle of any event in the heap or the
+// timer queue (the ring and the inbox are not consulted), or MaxTime.
+func (s *shard) queuedAt() Time {
+	at := MaxTime
+	if len(s.events) > 0 {
+		at = s.events[0].at
+	}
+	if len(s.timers) > 0 && s.timers[0].ev.at < at {
+		at = s.timers[0].ev.at
+	}
+	return at
+}
+
 // empty reports whether the shard has no queued work at all (inbox
 // included; callers must be at a barrier or idle).
 func (s *shard) empty() bool {
-	return len(s.events) == 0 && s.fifo.n == 0 && len(s.inbox) == 0
+	return len(s.events) == 0 && len(s.timers) == 0 && s.fifo.n == 0 && len(s.inbox) == 0
 }
 
 // Run executes events in canonical order until either every event queue
@@ -608,8 +641,8 @@ func (e *Engine) partition() {
 		}
 		d.sh = e.shards[idx]
 	}
-	// Redistribute setup-time events (the ring is empty while idle; all
-	// queued work sits in shard 0's heap).
+	// Redistribute setup-time events and timers (the ring is empty while
+	// idle; all queued work sits in shard 0's heap and timer queue).
 	pending := s0.events
 	s0.events = nil
 	for len(pending) > 0 {
@@ -619,6 +652,11 @@ func (e *Engine) partition() {
 			panic(fmt.Sprintf("sim: queued event for unknown domain %d", ev.dom))
 		}
 		d.sh.events.push(ev)
+	}
+	timers := s0.timers
+	s0.timers = nil
+	for _, t := range timers {
+		t.d.sh.timers.push(t)
 	}
 }
 
@@ -690,11 +728,12 @@ func (s *shard) panicError(r interface{}, p *Proc) *PanicError {
 // Drain runs until the event queue is empty (no time bound).
 func (e *Engine) Drain() error { return e.Run(MaxTime) }
 
-// Pending returns the number of queued (not yet executed) events.
+// Pending returns the number of queued (not yet executed) events, armed
+// timers included.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, s := range e.shards {
-		n += len(s.events) + s.fifo.n + len(s.inbox)
+		n += len(s.events) + len(s.timers) + s.fifo.n + len(s.inbox)
 	}
 	return n
 }

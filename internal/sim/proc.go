@@ -162,7 +162,7 @@ func (p *Proc) Sync() {
 	if p.clock == s.now {
 		return
 	}
-	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > p.clock) && p.clock < s.bound() {
+	if s.fifo.n == 0 && s.queuedAt() > p.clock && p.clock < s.bound() {
 		s.now = p.clock
 		s.stallEvents = 0
 		return

@@ -65,8 +65,8 @@ func (e *Engine) runWindows(until Time) error {
 				}
 				s.inbox = s.inbox[:0]
 			}
-			if len(s.events) > 0 && s.events[0].at < t0 {
-				t0 = s.events[0].at
+			if at := s.queuedAt(); at < t0 {
+				t0 = at
 			}
 		}
 		if t0 >= until {
@@ -79,7 +79,7 @@ func (e *Engine) runWindows(until Time) error {
 		nactive, nbusy := 0, 0
 		for i, s := range e.shards {
 			s.windowEnd = wend
-			if len(s.events) > 0 && s.events[0].at < wend {
+			if s.queuedAt() < wend {
 				e.stats.active[i]++
 				nbusy++
 				if i > 0 {
@@ -92,7 +92,7 @@ func (e *Engine) runWindows(until Time) error {
 		e.stats.stallCycles += (wend - t0) * uint64(len(e.shards)-nbusy)
 		wg.Add(nactive)
 		for i, s := range e.shards {
-			if i > 0 && len(s.events) > 0 && s.events[0].at < wend {
+			if i > 0 && s.queuedAt() < wend {
 				starts[i] <- struct{}{}
 			}
 		}
@@ -140,7 +140,7 @@ func (e *Engine) windowsDone(until Time) error {
 	pending := false
 	maxNow := Time(0)
 	for _, s := range e.shards {
-		if len(s.events) > 0 {
+		if len(s.events) > 0 || len(s.timers) > 0 {
 			pending = true
 			if until > s.now {
 				s.now = until
